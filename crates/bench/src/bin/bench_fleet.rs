@@ -16,8 +16,8 @@
 //!   `fleet.decode.fallback_chunks`) showing how much of the stream rode
 //!   the parallel fast path vs the sequential resync scanner;
 //! * the [`FleetOutcome`] determinism digest — rerunning with a different
-//!   `ULP_PAR_THREADS`, `ULP_FLEET_INGEST_PATH`, or `ULP_DEVICE_ENGINE`
-//!   must reproduce every digest bit-for-bit;
+//!   `ULP_PAR_THREADS` or `ULP_FLEET_INGEST_PATH` must reproduce every
+//!   digest bit-for-bit;
 //! * the accuracy gates: mean, RR frequency, and RR count must land within
 //!   `3·SE + bias_bound` of ground truth. A gate failure aborts the run —
 //!   a benchmark that quietly reports wrong estimates is worse than none.
@@ -234,7 +234,6 @@ fn render_json(
     threads: usize,
     smoke: bool,
     ingest_path: &str,
-    device_engine: &str,
     cells: &[Cell],
     target: Option<&Cell>,
     metrics: Option<&str>,
@@ -247,7 +246,6 @@ fn render_json(
     writeln!(out, "  \"threads\": {threads},").unwrap();
     writeln!(out, "  \"smoke\": {smoke},").unwrap();
     writeln!(out, "  \"ingest_path\": \"{ingest_path}\",").unwrap();
-    writeln!(out, "  \"device_engine\": \"{device_engine}\",").unwrap();
     writeln!(out, "  \"total_seconds\": {total:.3},").unwrap();
     writeln!(out, "  \"total_reports\": {total_reports},").unwrap();
     if let Some(c) = target {
@@ -425,10 +423,9 @@ fn main() {
     let env = ldp_bench::FleetEnv::validate("bench_fleet", metrics);
     let (threads, level) = (env.threads, env.level);
     let ingest_path = env.ingest_path_name();
-    let device_engine = env.device_engine_name();
     eprintln!(
         "bench_fleet: {} mode, {threads} worker thread(s) (ULP_PAR_THREADS to override), \
-         {ingest_path} ingest path, {device_engine} device engine, metrics {}",
+         {ingest_path} ingest path, metrics {}",
         if smoke { "smoke" } else { "full" },
         level.name(),
     );
@@ -506,7 +503,6 @@ fn main() {
         threads,
         smoke,
         ingest_path,
-        device_engine,
         &cells,
         target,
         metrics_report.as_deref(),

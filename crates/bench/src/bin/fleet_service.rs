@@ -28,7 +28,7 @@
 //! RR-frequency estimates land within `3·SE + bias_bound` of ground
 //! truth. Timing is best-of-3 with the service outcome digest pinned
 //! across repeats — rerunning with a different `ULP_PAR_THREADS` or
-//! `ULP_DEVICE_ENGINE` must reproduce every digest bit-for-bit.
+//! `ULP_FLEET_INGEST_PATH` must reproduce every digest bit-for-bit.
 //!
 //! Flags: `--smoke` (CI-sized populations), `--out <path>`, `--metrics`
 //! (embed the process-wide [`ulp_obs`] snapshot).
@@ -242,7 +242,6 @@ fn render_json(
     threads: usize,
     smoke: bool,
     ingest_path: &str,
-    device_engine: &str,
     cells: &[Cell],
     target: Option<&Cell>,
     metrics: Option<&str>,
@@ -254,7 +253,6 @@ fn render_json(
     writeln!(out, "  \"threads\": {threads},").unwrap();
     writeln!(out, "  \"smoke\": {smoke},").unwrap();
     writeln!(out, "  \"ingest_path\": \"{ingest_path}\",").unwrap();
-    writeln!(out, "  \"device_engine\": \"{device_engine}\",").unwrap();
     writeln!(out, "  \"total_seconds\": {total:.3},").unwrap();
     if let Some(c) = target {
         let rps = c.reports_per_sec();
@@ -360,12 +358,11 @@ fn main() {
         ServiceConfig::new(headline_w, headline_q).with_env_overrides(),
     );
     eprintln!(
-        "fleet_service: {} mode, {} worker thread(s), {} ingest path, {} device engine, \
-         metrics {}, windows of {} epoch(s), {}-frame queues",
+        "fleet_service: {} mode, {} worker thread(s), {} ingest path, metrics {}, \
+         windows of {} epoch(s), {}-frame queues",
         if smoke { "smoke" } else { "full" },
         env.threads,
         env.ingest_path_name(),
-        env.device_engine_name(),
         env.level.name(),
         headline_svc.window_epochs,
         headline_svc.queue_frames,
@@ -447,7 +444,6 @@ fn main() {
         env.threads,
         smoke,
         env.ingest_path_name(),
-        env.device_engine_name(),
         &cells,
         target,
         metrics_report.as_deref(),

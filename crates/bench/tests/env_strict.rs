@@ -16,7 +16,6 @@ const CASES: &[(&str, &str)] = &[
     (env!("CARGO_BIN_EXE_bench_perf"), "ULP_SAMPLER_PATH"),
     (env!("CARGO_BIN_EXE_bench_fleet"), "ULP_METRICS"),
     (env!("CARGO_BIN_EXE_bench_fleet"), "ULP_FLEET_INGEST_PATH"),
-    (env!("CARGO_BIN_EXE_bench_fleet"), "ULP_DEVICE_ENGINE"),
     (env!("CARGO_BIN_EXE_chaos_campaign"), "ULP_CHAOS_SEED"),
     (env!("CARGO_BIN_EXE_chaos_campaign"), "ULP_METRICS"),
     (env!("CARGO_BIN_EXE_chaos_campaign"), "ULP_PAR_THREADS"),
@@ -24,11 +23,9 @@ const CASES: &[(&str, &str)] = &[
         env!("CARGO_BIN_EXE_chaos_campaign"),
         "ULP_FLEET_INGEST_PATH",
     ),
-    (env!("CARGO_BIN_EXE_chaos_campaign"), "ULP_DEVICE_ENGINE"),
     (env!("CARGO_BIN_EXE_fleet_service"), "ULP_METRICS"),
     (env!("CARGO_BIN_EXE_fleet_service"), "ULP_PAR_THREADS"),
     (env!("CARGO_BIN_EXE_fleet_service"), "ULP_FLEET_INGEST_PATH"),
-    (env!("CARGO_BIN_EXE_fleet_service"), "ULP_DEVICE_ENGINE"),
     (
         env!("CARGO_BIN_EXE_fleet_service"),
         "ULP_SERVICE_WINDOW_EPOCHS",
@@ -49,7 +46,6 @@ const ALL_VARS: &[&str] = &[
     "ULP_PAR_THREADS",
     "ULP_SAMPLER_PATH",
     "ULP_FLEET_INGEST_PATH",
-    "ULP_DEVICE_ENGINE",
     "ULP_CHAOS_SEED",
     "ULP_ATTACK_SEED",
     "ULP_SERVICE_WINDOW_EPOCHS",

@@ -530,6 +530,17 @@ pub enum SealStatus {
     },
 }
 
+impl SealStatus {
+    /// Canonical rendering for the digest texts: `full`, or `degraded:`
+    /// followed by the exact coverage bits.
+    pub(crate) fn canonical_text(&self) -> String {
+        match self {
+            SealStatus::Full => "full".to_string(),
+            SealStatus::Degraded { coverage } => format!("degraded:{:016x}", coverage.to_bits()),
+        }
+    }
+}
+
 /// Coverage accounting for one sealed collection round. Built by
 /// [`EpochSeal::evaluate`] — sealing **grades** a shortfall instead of
 /// panicking on it, because the estimators downstream compute stderr and
@@ -602,12 +613,7 @@ pub struct Collector {
 /// FNV-1a of the device id — the shard assignment hash. A property of the
 /// report alone, so the shard partition is independent of thread schedule.
 fn device_hash(device: u32) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in device.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    crate::fnv1a(crate::FNV1A_OFFSET, device.to_le_bytes())
 }
 
 impl Collector {

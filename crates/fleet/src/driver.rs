@@ -1,19 +1,25 @@
 //! The simulated-fleet driver: N DP-Box devices streaming into a collector.
 //!
-//! Each device is a full [`dp_box::DpBox`] instance — FSM, budget ledger,
-//! URNG health monitor — not a shortcut around the device model. The driver
+//! Each chunk of healthy devices advances in lockstep as one
+//! [`DeviceArray`]; devices wired to a faulty URNG run as full
+//! [`dp_box::DpBox`] FSMs on a scalar sidecar. Both consume the same
+//! per-device word streams as one `DpBox` per device would. The driver
 //!
 //! 1. draws a population of sensor values from a dataset spec (via
 //!    [`ldp_eval::GroundTruth`], the shared ground-truth preparation);
-//! 2. boots every device through the hardware command sequence, running the
-//!    power-on URNG self-test first so devices with degraded bit sources
-//!    fail safe *before emitting a single report* (a value-independent
-//!    exclusion, hence unbiased);
-//! 3. streams epochs of wire-encoded reports through a sharded
-//!    [`Collector`];
-//! 4. folds every device's budget ledger into one auditable fleet ledger;
+//! 2. boots every device through the power-on URNG self-test first, so
+//!    devices with degraded bit sources fail safe *before emitting a
+//!    single report* (a value-independent exclusion, hence unbiased);
+//! 3. streams delivery rounds of wire-encoded reports through a
+//!    [`FleetService`], sealing epoch windows as the watermark passes;
+//! 4. records every fresh ε-spend under its `(device, epoch)` key into
+//!    its window's ledger, so a double spend is a counted error and the
+//!    rollup audits the window ledgers bitwise;
 //! 5. returns debiased estimates next to the included-population ground
 //!    truth.
+//!
+//! [`FleetDriver::run`] is the same pipeline with one window spanning
+//! every epoch.
 //!
 //! # Determinism
 //!
@@ -29,20 +35,19 @@ use dp_box::{
     Command, DeviceArray, DeviceArrayConfig, DpBox, DpBoxConfig, DpBoxError, HealthConfig,
     LaneOutcome, Phase,
 };
-use ldp_core::{BudgetLedger, CompositionLedger, LdpError, RandomizedResponse};
+use ldp_core::{BudgetLedger, LdpError, RandomizedResponse};
 use ldp_datasets::DatasetSpec;
 use ldp_eval::GroundTruth;
-use ulp_obs::{parse_env, Counter, EnvError, SpanTimer};
+use ulp_obs::{Counter, SpanTimer};
 use ulp_rng::{stream_seed, CorrelatedBits, RandomBits, Taus88};
 
 use crate::chaos::{ChaosConfig, DeviceChaos, MAX_DELAY_ROUNDS};
-use crate::collector::{
-    Collector, EpochSeal, IngestPath, IngestStats, QueryConfig, QueryKind, SealStatus,
-};
+use crate::collector::{Collector, EpochSeal, IngestPath, IngestStats, QueryConfig, QueryKind};
 use crate::estimator::{Estimate, NoiseModel};
 use crate::service::{FleetService, ServiceConfig, ServiceSnapshot};
 use crate::window::window_spans;
 use crate::wire::{Payload, Report};
+use crate::{fnv1a, FNV1A_OFFSET};
 
 /// Devices booted, process-wide.
 static DEVICES: Counter = Counter::new("fleet.devices.simulated");
@@ -60,63 +65,6 @@ static SIM_SPAN: SpanTimer = SpanTimer::new("fleet.driver.simulate");
 /// time with).
 pub fn sim_phase_ns() -> u64 {
     SIM_SPAN.total_ns()
-}
-
-/// Environment variable selecting the per-device simulation engine.
-pub const DEVICE_ENGINE_ENV: &str = "ULP_DEVICE_ENGINE";
-
-/// Which engine [`FleetDriver::run`] simulates devices with. The two
-/// engines produce **bit-identical** outcomes, ledgers, and digests for
-/// every configuration — the reference engine steps one [`DpBox`] FSM per
-/// device and exists for differential testing; the batch engine advances a
-/// [`DeviceArray`] per chunk for throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeviceEngine {
-    /// Struct-of-arrays lockstep simulation (the default): one
-    /// [`DeviceArray`] per chunk, faulty-URNG devices on a scalar sidecar.
-    #[default]
-    Batch,
-    /// One full [`DpBox`] FSM per device.
-    Reference,
-}
-
-impl DeviceEngine {
-    /// Parses a raw value: `batch` or `reference` (case-insensitive).
-    /// `None` (unset) selects [`DeviceEngine::Batch`] — the documented
-    /// default.
-    ///
-    /// # Errors
-    ///
-    /// [`EnvError`] for anything else — a misspelling must never silently
-    /// select an engine (the `ULP_SAMPLER_PATH` strictness rule).
-    pub fn parse(raw: Option<&str>) -> Result<Self, EnvError> {
-        let Some(raw) = raw else {
-            return Ok(DeviceEngine::Batch);
-        };
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "batch" => Ok(DeviceEngine::Batch),
-            "reference" => Ok(DeviceEngine::Reference),
-            _ => Err(EnvError {
-                var: DEVICE_ENGINE_ENV,
-                value: raw.to_string(),
-                expected: "batch | reference",
-            }),
-        }
-    }
-
-    /// Reads the engine from [`DEVICE_ENGINE_ENV`] (unset selects
-    /// [`DeviceEngine::Batch`]).
-    ///
-    /// # Errors
-    ///
-    /// [`EnvError`] on a set-but-unrecognized value — never a silent
-    /// fallback.
-    pub fn from_env() -> Result<Self, EnvError> {
-        Ok(parse_env(DEVICE_ENGINE_ENV, "batch | reference", |s| {
-            DeviceEngine::parse(Some(s)).ok()
-        })?
-        .unwrap_or_default())
-    }
 }
 
 /// Wire query id carrying fixed-point noised values.
@@ -166,7 +114,7 @@ pub struct FleetConfig {
     /// *cached* report bytes verbatim — never a fresh randomization.
     pub retry_budget: u32,
     /// Coverage threshold below which the run's seal is marked
-    /// [`SealStatus::Degraded`].
+    /// [`crate::collector::SealStatus::Degraded`].
     pub quorum: f64,
     /// Planted adversarial senders (ids above the population) emitting
     /// checksum-valid frames for an unregistered query every epoch — the
@@ -326,32 +274,6 @@ impl FleetOutcome {
     /// the determinism digest is computed over. Exact float bits are
     /// rendered via [`f64::to_bits`] so "close" never passes for "equal".
     pub fn canonical_text(&self) -> String {
-        fn est(e: &Option<Estimate>) -> String {
-            match e {
-                None => "none".to_string(),
-                Some(e) => format!(
-                    "{:016x}:{:016x}:{}:{:016x}",
-                    e.value.to_bits(),
-                    e.stderr.to_bits(),
-                    e.n,
-                    e.bias_bound.to_bits()
-                ),
-            }
-        }
-        let seal = match self.seal.status {
-            SealStatus::Full => "full".to_string(),
-            SealStatus::Degraded { coverage } => format!("degraded:{:016x}", coverage.to_bits()),
-        };
-        let quarantined = {
-            let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-            for d in &self.quarantined {
-                for b in d.to_le_bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-            }
-            h
-        };
         format!(
             "devices={} excluded={} dropped={} accepted={} rejected={}\n\
              duplicates={} stale={} corrupt_frames={} resyncs={} \
@@ -373,11 +295,11 @@ impl FleetOutcome {
             self.ingest.resyncs,
             self.ingest.quarantine_dropped,
             self.ingest.quarantine_latched,
-            est(&self.mean),
-            est(&self.variance),
-            est(&self.median),
-            est(&self.rr_frequency),
-            est(&self.rr_count),
+            est_text(&self.mean),
+            est_text(&self.variance),
+            est_text(&self.median),
+            est_text(&self.rr_frequency),
+            est_text(&self.rr_count),
             self.truth_mean.to_bits(),
             self.truth_variance.to_bits(),
             self.truth_median.to_bits(),
@@ -389,11 +311,11 @@ impl FleetOutcome {
             self.double_spends,
             self.retry_attempts,
             self.reports_unacked,
-            seal,
+            self.seal.status.canonical_text(),
             self.seal.expected,
             self.seal.accepted,
             self.quarantined.len(),
-            quarantined,
+            quarantine_hash(&self.quarantined),
             self.n_th_k,
         )
     }
@@ -402,13 +324,30 @@ impl FleetOutcome {
     /// digests witness bit-identical outcomes across thread counts, shard
     /// counts, and chunk sizes.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in self.canonical_text().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        fnv1a(FNV1A_OFFSET, self.canonical_text().bytes())
     }
+}
+
+/// Canonical rendering of an optional estimate: exact float bits.
+fn est_text(e: &Option<Estimate>) -> String {
+    match e {
+        None => "none".to_string(),
+        Some(e) => format!(
+            "{:016x}:{:016x}:{}:{:016x}",
+            e.value.to_bits(),
+            e.stderr.to_bits(),
+            e.n,
+            e.bias_bound.to_bits()
+        ),
+    }
+}
+
+/// FNV-1a over the quarantined sender ids, in order.
+fn quarantine_hash(quarantined: &[u32]) -> u64 {
+    fnv1a(
+        FNV1A_OFFSET,
+        quarantined.iter().flat_map(|d| d.to_le_bytes()),
+    )
 }
 
 /// Ground-truth population statistics over the included devices.
@@ -468,8 +407,8 @@ pub struct ServiceOutcome {
     /// Largest staged frame count any single drain folded.
     pub max_drain_frames: usize,
     /// FNV-1a digest over every `(device, epoch, charge)` fresh-spend
-    /// record — bitwise identical to the batch driver's for the same
-    /// configuration, windowed or not.
+    /// record, in device order. It depends on neither the window width
+    /// nor the transport: chaos and windowing act only on delivered bytes.
     pub ledger_digest: u64,
     /// `(device, epoch)` keys that recorded two fresh-randomization
     /// charges (expected 0).
@@ -500,26 +439,13 @@ impl ServiceOutcome {
     /// the service determinism digest is computed over. Exact float bits
     /// are rendered via [`f64::to_bits`]; wall-clock timings are excluded.
     pub fn canonical_text(&self) -> String {
-        fn est(e: &Option<Estimate>) -> String {
-            match e {
-                None => "none".to_string(),
-                Some(e) => format!(
-                    "{:016x}:{:016x}:{}:{:016x}",
-                    e.value.to_bits(),
-                    e.stderr.to_bits(),
-                    e.n,
-                    e.bias_bound.to_bits()
-                ),
-            }
-        }
         fn seal(s: &EpochSeal) -> String {
-            let status = match s.status {
-                SealStatus::Full => "full".to_string(),
-                SealStatus::Degraded { coverage } => {
-                    format!("degraded:{:016x}", coverage.to_bits())
-                }
-            };
-            format!("{status}:{}:{}", s.expected, s.accepted)
+            format!(
+                "{}:{}:{}",
+                s.status.canonical_text(),
+                s.expected,
+                s.accepted
+            )
         }
         let mut out = format!(
             "devices={} excluded={} dropped={} windows={}\n",
@@ -540,36 +466,26 @@ impl ServiceOutcome {
             out.push_str(&format!(
                 "snapshot[{}] mean={} variance={} median={} rr_frequency={}\n",
                 w.index,
-                est(&w.mean),
-                est(&w.variance),
-                est(&w.median),
-                est(&w.rr_frequency),
+                est_text(&w.mean),
+                est_text(&w.variance),
+                est_text(&w.median),
+                est_text(&w.rr_frequency),
             ));
         }
         out.push_str(&format!(
             "rollup mean={} variance={} median={} rr_frequency={}\n\
              rollup_ledger_total={:016x} rollup_ledger_entries={} rollup_seal={} \
              rollup_digest={:016x} audit_ok={}\n",
-            est(&self.rollup_mean),
-            est(&self.rollup_variance),
-            est(&self.rollup_median),
-            est(&self.rollup_rr_frequency),
+            est_text(&self.rollup_mean),
+            est_text(&self.rollup_variance),
+            est_text(&self.rollup_median),
+            est_text(&self.rollup_rr_frequency),
             self.rollup_ledger_total.to_bits(),
             self.rollup_ledger_entries,
             seal(&self.rollup_seal),
             self.rollup_digest,
             self.audit_ok,
         ));
-        let quarantined = {
-            let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-            for d in &self.quarantined {
-                for b in d.to_le_bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-            }
-            h
-        };
         out.push_str(&format!(
             "accepted={} rejected={} duplicates={} stale={} late={} corrupt_frames={} \
              resyncs={} quarantine_dropped={} quarantine_latched={}\n\
@@ -597,7 +513,7 @@ impl ServiceOutcome {
             self.truth_median.to_bits(),
             self.truth_fraction.to_bits(),
             self.quarantined.len(),
-            quarantined,
+            quarantine_hash(&self.quarantined),
             self.n_th_k,
         ));
         out
@@ -605,14 +521,9 @@ impl ServiceOutcome {
 
     /// FNV-1a 64-bit digest of [`ServiceOutcome::canonical_text`]: equal
     /// digests witness bit-identical service runs across thread counts
-    /// and device engines.
+    /// and ingest paths.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in self.canonical_text().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        fnv1a(FNV1A_OFFSET, self.canonical_text().bytes())
     }
 }
 
@@ -622,10 +533,6 @@ struct ChunkResult {
     /// round (a round is an epoch plus the backoff/delay slack after the
     /// last epoch).
     frames: Vec<Vec<u8>>,
-    /// The chunk's device ledgers, merged in device order.
-    ledger: BudgetLedger,
-    /// Every charge in `ledger`, in record order (for the accountant fold).
-    charges: Vec<f64>,
     /// Every fresh randomization as `(device, epoch, charge)`, in device
     /// order — the keyed double-spend audit and ε-spend digest input.
     /// Chaos never touches this: it is produced by the device simulation
@@ -638,6 +545,12 @@ struct ChunkResult {
     /// Reports whose retry budget expired without an ack.
     reports_unacked: u64,
 }
+
+/// A chunk simulator: devices `[start, end)` in, their delivered frames
+/// and fresh spends out. [`FleetDriver::simulate_chunk_batch`] in
+/// production; tests also run the per-device `DpBox` oracle.
+type ChunkSim =
+    fn(&FleetDriver, u32, u32, &[i64], RandomizedResponse) -> Result<ChunkResult, FleetError>;
 
 /// Delivered-frame buckets for one chunk: reordered frames are staged
 /// per-frame and appended after the round's in-order bytes in *reverse*
@@ -684,13 +597,6 @@ pub struct FleetDriver {
     cfg: FleetConfig,
     model: NoiseModel,
     max_code: i64,
-    /// Device-side simulation engine, from `ULP_DEVICE_ENGINE`:
-    /// [`DeviceEngine::Batch`] (default) advances one [`DeviceArray`] per
-    /// chunk in lockstep; [`DeviceEngine::Reference`] steps a full
-    /// [`DpBox`] FSM per device. The two engines are bit-identical — every
-    /// RNG stream, report byte, ledger entry, and digest matches — so the
-    /// choice is purely a throughput/differential-testing knob.
-    engine: DeviceEngine,
     /// Collector-side ingest pipeline, from `ULP_FLEET_INGEST_PATH`:
     /// [`IngestPath::Columnar`] (default) or [`IngestPath::Reference`].
     /// Unlike the sampler path, the two ingest paths are byte-identical —
@@ -752,27 +658,13 @@ impl FleetDriver {
             max_code,
             &cfg.multiples,
         )?;
-        let engine = DeviceEngine::from_env().map_err(LdpError::from)?;
         let ingest_path = IngestPath::from_env().map_err(LdpError::from)?;
         Ok(FleetDriver {
             cfg,
             model,
             max_code,
-            engine,
             ingest_path,
         })
-    }
-
-    /// Overrides the environment-selected device engine (differential-test
-    /// and benchmark hook).
-    pub fn with_engine(mut self, engine: DeviceEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The device engine this driver simulates with.
-    pub fn engine(&self) -> DeviceEngine {
-        self.engine
     }
 
     /// The collector-side noise model (estimators, window, RR mechanism).
@@ -782,6 +674,11 @@ impl FleetDriver {
 
     /// Runs the full simulation: boot, stream, collect, estimate, audit.
     ///
+    /// This is [`FleetDriver::run_service`] with one window spanning every
+    /// epoch. Its watermark grace equals the delivery slack, so the window
+    /// seals after the last delivery round and no report is ever `late`;
+    /// the rollup of that one window is the whole run.
+    ///
     /// # Errors
     ///
     /// Propagates device-boot and mechanism-construction failures. Devices
@@ -789,122 +686,44 @@ impl FleetDriver {
     /// they are the fail-safe path working as designed, and are reported in
     /// the outcome.
     pub fn run(&self) -> Result<FleetOutcome, FleetError> {
-        let cfg = &self.cfg;
-        let truth = self.prepare_truth()?;
-        let rr = self.model.rr()?;
-        let chunks = self.simulate_fleet(&truth.codes_k, rr)?;
+        self.run_with(Self::simulate_chunk_batch)
+    }
 
-        // Stream epochs through the collector, fold ledgers chunk-major.
-        let mut collector = self.fresh_collector();
-        let malformed = self.malformed_rounds();
-
-        // One concatenated batch per round (chunk order, malformed senders
-        // last): the round's whole traffic reaches the collector as a
-        // single stream, so the batch decoder sees realistic fan-in instead
-        // of per-chunk slivers. Concatenation order is schedule-independent,
-        // so determinism is unchanged.
-        let rounds = self.rounds();
-        let mut ingest = IngestStats::default();
-        let mut round_bytes = Vec::new();
-        for round in 0..rounds {
-            let _span = EPOCH_SPAN.enter();
-            round_bytes.clear();
-            for chunk in &chunks {
-                round_bytes.extend_from_slice(&chunk.frames[round]);
-            }
-            if let Some(bytes) = malformed.get(round) {
-                round_bytes.extend_from_slice(bytes);
-            }
-            if !round_bytes.is_empty() {
-                ingest.absorb(collector.ingest_frames(&round_bytes));
-            }
-        }
-
-        let mut fleet_ledger = BudgetLedger::new();
-        let mut accountant = CompositionLedger::new();
-        let mut excluded: Vec<u32> = Vec::new();
-        let mut dropped = 0usize;
-        let mut retry_attempts = 0u64;
-        let mut reports_unacked = 0u64;
-        // The keyed replay: every fresh randomization, re-recorded under
-        // its (device, epoch) key. A retry path that re-privatized would
-        // charge one key twice and surface here as a typed DoubleSpend —
-        // never as silent extra accumulation.
-        let mut keyed = BudgetLedger::new();
-        let mut double_spends = 0u64;
-        let mut ledger_digest: u64 = 0xCBF2_9CE4_8422_2325;
-        for chunk in &chunks {
-            fleet_ledger.merge(&chunk.ledger);
-            for &c in &chunk.charges {
-                accountant.record(c);
-            }
-            for &(device, epoch, charge) in &chunk.spends {
-                if keyed
-                    .record_spend(u64::from(device), u64::from(epoch), charge)
-                    .is_err()
-                {
-                    double_spends += 1;
-                }
-                for b in device
-                    .to_le_bytes()
-                    .into_iter()
-                    .chain(epoch.to_le_bytes())
-                    .chain(charge.to_bits().to_le_bytes())
-                {
-                    ledger_digest ^= u64::from(b);
-                    ledger_digest = ledger_digest.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-            }
-            excluded.extend_from_slice(&chunk.excluded);
-            dropped += chunk.dropped.len();
-            retry_attempts += chunk.retry_attempts;
-            reports_unacked += chunk.reports_unacked;
-        }
-        let audit_ok = fleet_ledger.audit(&accountant).is_ok();
-        DEVICES.add(cfg.devices as u64);
-        EXCLUDED.record_always(excluded.len() as u64);
-
-        let truths = self.included_truths(&truth.codes_k, &excluded);
-
-        // Coverage seal: expected is what a perfect transport would have
-        // delivered from the included population; estimators downstream
-        // already use realized counts, so a shortfall widens SE instead of
-        // breaking anything — the seal just grades it.
-        let expected = 2 * cfg.epochs as u64 * (cfg.devices - excluded.len()) as u64;
-        let seal = EpochSeal::evaluate(expected, ingest.accepted, cfg.quorum);
-
-        let values = collector.totals(VALUE_QUERY);
-        let bits = collector.totals(RR_QUERY);
+    fn run_with(&self, simulate: ChunkSim) -> Result<FleetOutcome, FleetError> {
+        let svc = ServiceConfig::new(self.cfg.epochs, usize::MAX)
+            .with_watermark_lag(self.slack())
+            .with_quorum(self.cfg.quorum);
+        let out = self.run_service_with(&svc, simulate)?;
         Ok(FleetOutcome {
-            devices_simulated: cfg.devices,
-            devices_excluded: excluded.len(),
-            devices_dropped: dropped,
-            ingest,
-            mean: self.model.mean(&values),
-            variance: self.model.variance(&values),
-            median: self.model.median(&values),
-            rr_frequency: self.model.rr_frequency(&bits)?,
-            rr_count: self.model.rr_count(&bits)?,
-            truth_mean: truths.mean,
-            truth_variance: truths.variance,
-            truth_median: truths.median,
-            truth_fraction: truths.fraction,
-            ledger_total: fleet_ledger.total(),
-            ledger_entries: fleet_ledger.len(),
-            audit_ok,
-            ledger_digest,
-            double_spends,
-            retry_attempts,
-            reports_unacked,
-            seal,
-            quarantined: collector.quarantined_devices(),
-            n_th_k: self.model.n_th_k(),
+            devices_simulated: out.devices_simulated,
+            devices_excluded: out.devices_excluded,
+            devices_dropped: out.devices_dropped,
+            ingest: out.stats,
+            mean: out.rollup_mean,
+            variance: out.rollup_variance,
+            median: out.rollup_median,
+            rr_frequency: out.rollup_rr_frequency,
+            rr_count: out.rollup_rr_frequency.map(Estimate::scaled_to_count),
+            truth_mean: out.truth_mean,
+            truth_variance: out.truth_variance,
+            truth_median: out.truth_median,
+            truth_fraction: out.truth_fraction,
+            ledger_total: out.rollup_ledger_total,
+            ledger_entries: out.rollup_ledger_entries,
+            audit_ok: out.audit_ok,
+            ledger_digest: out.ledger_digest,
+            double_spends: out.double_spends,
+            retry_attempts: out.retry_attempts,
+            reports_unacked: out.reports_unacked,
+            seal: out.rollup_seal,
+            quarantined: out.quarantined,
+            n_th_k: out.n_th_k,
         })
     }
 
-    /// Runs the simulation through the streaming service instead of the
-    /// one-shot collector fold: the same deterministic device traffic is
-    /// offered round-by-round to a [`FleetService`] (one ingest lane per
+    /// Runs the simulation through the streaming service: the
+    /// deterministic device traffic is offered round-by-round to a
+    /// [`FleetService`] (one ingest lane per
     /// simulation chunk plus one for the planted malformed senders),
     /// windows seal as the watermark passes, live snapshots are served
     /// from sealed windows, and every sealed window folds into an
@@ -914,46 +733,61 @@ impl FleetDriver {
     /// refusal triggers a drain and a same-round retry of the *same*
     /// bytes, so no admitted report is ever dropped and the outcome stays
     /// a pure function of the configuration — bit-identical at any thread
-    /// count and with either device engine.
+    /// count.
     ///
     /// # Errors
     ///
-    /// Propagates device-boot and mechanism-construction failures, as
-    /// [`FleetDriver::run`] does.
+    /// Propagates device-boot and mechanism-construction failures. Devices
+    /// excluded by the self-test or dropped mid-stream are reported in the
+    /// outcome, not as errors.
     pub fn run_service(&self, svc: &ServiceConfig) -> Result<ServiceOutcome, FleetError> {
+        self.run_service_with(svc, Self::simulate_chunk_batch)
+    }
+
+    fn run_service_with(
+        &self,
+        svc: &ServiceConfig,
+        simulate: ChunkSim,
+    ) -> Result<ServiceOutcome, FleetError> {
         let cfg = &self.cfg;
         let truth = self.prepare_truth()?;
         let rr = self.model.rr()?;
-        let chunks = self.simulate_fleet(&truth.codes_k, rr)?;
+        let chunks = self.simulate_fleet(&truth.codes_k, rr, simulate)?;
         let malformed = self.malformed_rounds();
 
-        // Global ε-spend witness and keyed double-spend audit, identical
-        // to the batch driver's: chaos and windowing act only on delivered
-        // bytes, so this digest is invariant across both.
+        // One pass over every fresh spend in (chunk, device, epoch) order —
+        // the canonical order the rollup audit re-folds. Each spend joins
+        // its window's share of the privacy ledger. Windows partition the
+        // epochs, so the window ledger's keyed `record_spend` rejects
+        // exactly the (device, epoch) keys charged twice: the double-spend
+        // audit. The ε-spend witness digest covers every spend; chaos and
+        // windowing act only on delivered bytes, so it is invariant across
+        // both.
+        let spans = window_spans(cfg.epochs, svc.window_epochs);
+        let mut window_ledgers: Vec<BudgetLedger> =
+            spans.iter().map(|_| BudgetLedger::new()).collect();
+        let mut window_charges: Vec<Vec<f64>> = spans.iter().map(|_| Vec::new()).collect();
         let mut excluded: Vec<u32> = Vec::new();
         let mut dropped = 0usize;
         let mut retry_attempts = 0u64;
         let mut reports_unacked = 0u64;
-        let mut keyed = BudgetLedger::new();
         let mut double_spends = 0u64;
-        let mut ledger_digest: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut ledger_digest = FNV1A_OFFSET;
         for chunk in &chunks {
             for &(device, epoch, charge) in &chunk.spends {
-                if keyed
-                    .record_spend(u64::from(device), u64::from(epoch), charge)
-                    .is_err()
-                {
-                    double_spends += 1;
+                let w = (epoch / svc.window_epochs) as usize;
+                match window_ledgers[w].record_spend(u64::from(device), u64::from(epoch), charge) {
+                    Ok(()) => window_charges[w].push(charge),
+                    Err(_) => double_spends += 1,
                 }
-                for b in device
-                    .to_le_bytes()
-                    .into_iter()
-                    .chain(epoch.to_le_bytes())
-                    .chain(charge.to_bits().to_le_bytes())
-                {
-                    ledger_digest ^= u64::from(b);
-                    ledger_digest = ledger_digest.wrapping_mul(0x0000_0100_0000_01B3);
-                }
+                ledger_digest = fnv1a(
+                    ledger_digest,
+                    device
+                        .to_le_bytes()
+                        .into_iter()
+                        .chain(epoch.to_le_bytes())
+                        .chain(charge.to_bits().to_le_bytes()),
+                );
             }
             excluded.extend_from_slice(&chunk.excluded);
             dropped += chunk.dropped.len();
@@ -963,24 +797,6 @@ impl FleetDriver {
         DEVICES.add(cfg.devices as u64);
         EXCLUDED.record_always(excluded.len() as u64);
 
-        // Each window's share of the privacy ledger: the fresh spends
-        // whose epoch falls inside the window, replayed in (chunk, device,
-        // epoch) order — the canonical order the rollup audit re-folds.
-        let spans = window_spans(cfg.epochs, svc.window_epochs);
-        let mut window_ledgers: Vec<BudgetLedger> =
-            spans.iter().map(|_| BudgetLedger::new()).collect();
-        let mut window_charges: Vec<Vec<f64>> = spans.iter().map(|_| Vec::new()).collect();
-        for chunk in &chunks {
-            for &(device, epoch, charge) in &chunk.spends {
-                let w = (epoch / svc.window_epochs) as usize;
-                if window_ledgers[w]
-                    .record_spend(u64::from(device), u64::from(epoch), charge)
-                    .is_ok()
-                {
-                    window_charges[w].push(charge);
-                }
-            }
-        }
         let reports_per_window = |w: usize| {
             let (lo, hi) = spans[w];
             2 * u64::from(hi - lo) * (cfg.devices - excluded.len()) as u64
@@ -1084,7 +900,7 @@ impl FleetDriver {
     }
 
     /// Draws the population's ground-truth sensor codes from the dataset
-    /// spec (shared by the batch and service drivers).
+    /// spec.
     fn prepare_truth(&self) -> Result<GroundTruth, FleetError> {
         let cfg = &self.cfg;
         Ok(GroundTruth::prepare(
@@ -1103,6 +919,7 @@ impl FleetDriver {
         &self,
         codes_k: &[i64],
         rr: RandomizedResponse,
+        simulate: ChunkSim,
     ) -> Result<Vec<ChunkResult>, FleetError> {
         let cfg = &self.cfg;
         let chunk_starts: Vec<u32> = (0..cfg.devices as u32).step_by(cfg.chunk).collect();
@@ -1110,10 +927,7 @@ impl FleetDriver {
             let _span = SIM_SPAN.enter();
             ulp_par::par_map(&chunk_starts, |&start| {
                 let end = (start as usize + cfg.chunk).min(cfg.devices) as u32;
-                match self.engine {
-                    DeviceEngine::Batch => self.simulate_chunk_batch(start, end, codes_k, rr),
-                    DeviceEngine::Reference => self.simulate_chunk(start, end, codes_k, rr),
-                }
+                simulate(self, start, end, codes_k, rr)
             })
         };
         let mut chunks = Vec::with_capacity(chunk_results.len());
@@ -1212,17 +1026,18 @@ impl FleetDriver {
         }
     }
 
-    /// Delivery rounds per run: the configured epochs plus, under chaos,
-    /// the slack the last epoch's backoff and delivery delays can reach
-    /// into.
+    /// Delivery rounds past the last epoch: under chaos, how far the last
+    /// epoch's backoff and delivery delays can reach.
+    fn slack(&self) -> u32 {
+        match self.cfg.chaos {
+            Some(_) => (1 << self.cfg.retry_budget) - 1 + MAX_DELAY_ROUNDS,
+            None => 0,
+        }
+    }
+
+    /// Delivery rounds per run: the configured epochs plus the slack.
     fn rounds(&self) -> usize {
-        let cfg = &self.cfg;
-        let slack = if cfg.chaos.is_some() {
-            (1usize << cfg.retry_budget) - 1 + MAX_DELAY_ROUNDS as usize
-        } else {
-            0
-        };
-        cfg.epochs as usize + slack
+        (self.cfg.epochs + self.slack()) as usize
     }
 
     /// Sends one cached report through the uplink: the first attempt plus
@@ -1258,10 +1073,12 @@ impl FleetDriver {
         (extra, false)
     }
 
-    /// Simulates devices `[start, end)`: boot each through the hardware
-    /// command sequence, privatize **at most once** per `(query, epoch)`,
-    /// and push the cached report bytes through the (possibly chaotic)
-    /// uplink.
+    /// The test oracle for [`FleetDriver::simulate_chunk_batch`]:
+    /// simulates devices `[start, end)` as one full [`DpBox`] FSM each —
+    /// boot through the hardware command sequence, privatize **at most
+    /// once** per `(query, epoch)`, and push the cached report bytes
+    /// through the (possibly chaotic) uplink.
+    #[cfg(test)]
     fn simulate_chunk(
         &self,
         start: u32,
@@ -1273,8 +1090,6 @@ impl FleetDriver {
         let mut buckets = RoundBuckets::new(rounds);
         let mut out = ChunkResult {
             frames: Vec::new(),
-            ledger: BudgetLedger::new(),
-            charges: Vec::new(),
             spends: Vec::new(),
             excluded: Vec::new(),
             dropped: Vec::new(),
@@ -1290,8 +1105,8 @@ impl FleetDriver {
 
     /// One device's full scalar simulation — a [`DpBox`] FSM booted,
     /// stepped one `noise_value` per epoch, and its cached report bytes
-    /// pushed through the uplink. Shared by the reference engine (every
-    /// device) and the batch engine (faulty-URNG sidecar).
+    /// pushed through the uplink. The batch engine's faulty-URNG sidecar,
+    /// and every device of the test oracle.
     fn simulate_device_scalar(
         &self,
         id: u32,
@@ -1391,30 +1206,29 @@ impl FleetDriver {
                     out.reports_unacked += u64::from(!acked);
                 }
             }
-            out.charges.extend(dev.accountant().losses());
-            out.ledger.merge(dev.ledger());
         }
         Ok(())
     }
 
     /// Whether `id`'s URNG is wired through the correlated-bits fault — a
-    /// pure function of `(seed, id)`, identical in both engines.
+    /// pure function of `(seed, id)`.
     fn is_faulty(cfg: &FleetConfig, id: u32) -> bool {
         stream_seed(cfg.seed, &[u64::from(id), 7]) % 1000 < u64::from(cfg.faulty_per_mille)
     }
 
     /// The batch engine: identical power-on self-tests, RNG streams,
-    /// noising dataflow, frame bytes, and ledger records as
-    /// [`FleetDriver::simulate_chunk`] — proven bit-for-bit by the
-    /// differential test matrix — but the chunk's healthy-URNG devices
-    /// advance in lockstep as one [`DeviceArray`] (vectorized startup
-    /// self-test, memoized CORDIC, no per-device FSM allocation). Devices
+    /// noising dataflow, frame bytes, and fresh spends as one full
+    /// [`DpBox`] per device (the `simulate_chunk` test oracle, proven
+    /// bit-for-bit by the differential tests) — but the chunk's
+    /// healthy-URNG devices advance in lockstep as one [`DeviceArray`]
+    /// (vectorized startup self-test, memoized CORDIC, no per-device FSM
+    /// allocation). Devices
     /// wired through the correlated-bits fault keep the scalar [`DpBox`]
     /// sidecar: they exist to exercise the full fault-latch machinery.
     ///
     /// Frames are emitted in device-id order from the precomputed lane
     /// outcomes, so every round's byte stream — and therefore every ingest
-    /// stat, estimate, and digest — matches the reference engine exactly.
+    /// stat, estimate, and digest — matches the oracle exactly.
     fn simulate_chunk_batch(
         &self,
         start: u32,
@@ -1428,8 +1242,6 @@ impl FleetDriver {
         let mut buckets = RoundBuckets::new(rounds);
         let mut out = ChunkResult {
             frames: Vec::new(),
-            ledger: BudgetLedger::new(),
-            charges: Vec::new(),
             spends: Vec::new(),
             excluded: Vec::new(),
             dropped: Vec::new(),
@@ -1464,6 +1276,8 @@ impl FleetDriver {
             range_upper: self.max_code,
         };
         let mut array = DeviceArray::new(&array_cfg, &seeds)?;
+        // Every healthy lane spends fresh at most once per epoch.
+        out.spends.reserve(seeds.len() * epochs);
         let mut xs = vec![0i64; seeds.len()];
         for id in start..end {
             if let Some(lane) = lane_of[(id - start) as usize] {
@@ -1472,8 +1286,8 @@ impl FleetDriver {
         }
         // Advance every lane through all epochs, column-wise.
         let matrix: Vec<Vec<LaneOutcome>> = array.step_epochs(&xs, epochs);
-        // Emission in device-id order: the exact per-device frame, spend,
-        // and ledger sequence the reference engine produces.
+        // Emission in device-id order: the exact per-device frame and
+        // spend sequence the oracle produces.
         for id in start..end {
             let Some(lane) = lane_of[(id - start) as usize] else {
                 self.simulate_device_scalar(id, codes_k[id as usize], rr, &mut buckets, &mut out)?;
@@ -1492,8 +1306,6 @@ impl FleetDriver {
                 let y = match col[lane] {
                     LaneOutcome::Fresh { y, charge } => {
                         out.spends.push((id, epoch as u32, charge));
-                        out.ledger.record(charge);
-                        out.charges.push(charge);
                         y
                     }
                     LaneOutcome::Cached { y } => y,
@@ -1531,6 +1343,7 @@ impl FleetDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::SealStatus;
 
     fn small_cfg(devices: usize) -> FleetConfig {
         FleetConfig {
@@ -1687,35 +1500,15 @@ mod tests {
     }
 
     #[test]
-    fn device_engine_parses_strictly() {
-        assert_eq!(DeviceEngine::parse(None), Ok(DeviceEngine::Batch));
-        assert_eq!(DeviceEngine::parse(Some("batch")), Ok(DeviceEngine::Batch));
-        assert_eq!(
-            DeviceEngine::parse(Some(" Reference ")),
-            Ok(DeviceEngine::Reference)
-        );
-        let err = DeviceEngine::parse(Some("fast")).unwrap_err();
-        assert_eq!(err.var, DEVICE_ENGINE_ENV);
-        assert_eq!(err.expected, "batch | reference");
-    }
-
-    #[test]
     fn batch_engine_matches_reference_bit_for_bit() {
         let cfg = FleetConfig {
             malformed_senders: 2,
             shards: 3,
             ..small_cfg(300)
         };
-        let batch = FleetDriver::new(cfg.clone())
-            .unwrap()
-            .with_engine(DeviceEngine::Batch)
-            .run()
-            .unwrap();
-        let reference = FleetDriver::new(cfg)
-            .unwrap()
-            .with_engine(DeviceEngine::Reference)
-            .run()
-            .unwrap();
+        let driver = FleetDriver::new(cfg).unwrap();
+        let batch = driver.run().unwrap();
+        let reference = driver.run_with(FleetDriver::simulate_chunk).unwrap();
         // The full canonical outcome — estimates, ingest stats, truths,
         // ledger, seal, quarantine — must be byte-identical.
         assert_eq!(batch.canonical_text(), reference.canonical_text());
@@ -1739,19 +1532,40 @@ mod tests {
             }),
             ..small_cfg(300)
         };
-        let batch = FleetDriver::new(cfg.clone())
-            .unwrap()
-            .with_engine(DeviceEngine::Batch)
-            .run()
-            .unwrap();
-        let reference = FleetDriver::new(cfg)
-            .unwrap()
-            .with_engine(DeviceEngine::Reference)
-            .run()
-            .unwrap();
+        let driver = FleetDriver::new(cfg).unwrap();
+        let batch = driver.run().unwrap();
+        let reference = driver.run_with(FleetDriver::simulate_chunk).unwrap();
         assert_eq!(batch.canonical_text(), reference.canonical_text());
         assert_eq!(batch.ledger_digest, reference.ledger_digest);
         assert!(batch.retry_attempts > 0, "chaos must actually fire");
+    }
+
+    #[test]
+    fn batch_run_seals_after_the_largest_delivery_slack() {
+        use crate::chaos::{ChaosConfig, FaultClass};
+        // The `heavy20` campaign rates at the largest retry budget: the
+        // last retries and delays reach furthest past the final epoch,
+        // and the one window's watermark grace must still cover them.
+        let out = FleetDriver::new(FleetConfig {
+            chaos: Some(ChaosConfig {
+                drop: FaultClass::bursty(0.2, 4.0),
+                duplicate: FaultClass::flat(0.2),
+                reorder: FaultClass::flat(0.2),
+                corrupt: FaultClass::flat(0.2),
+                truncate: FaultClass::flat(0.2),
+                delay: FaultClass::bursty(0.2, 2.0),
+                ..ChaosConfig::quiet(20)
+            }),
+            retry_budget: 6,
+            ..small_cfg(300)
+        })
+        .unwrap()
+        .run()
+        .unwrap();
+        assert_eq!(out.ingest.late, 0, "the grace covers every delivery");
+        assert!(out.retry_attempts > 0 && out.ingest.corrupt_frames > 0);
+        assert_eq!(out.double_spends, 0);
+        assert!(out.audit_ok);
     }
 
     #[test]
@@ -1808,15 +1622,10 @@ mod tests {
             ..small_cfg(200)
         };
         let svc_cfg = ServiceConfig::new(2, 1 << 20);
-        let batch = FleetDriver::new(cfg.clone())
-            .unwrap()
-            .with_engine(DeviceEngine::Batch)
-            .run_service(&svc_cfg)
-            .unwrap();
-        let reference = FleetDriver::new(cfg)
-            .unwrap()
-            .with_engine(DeviceEngine::Reference)
-            .run_service(&svc_cfg)
+        let driver = FleetDriver::new(cfg).unwrap();
+        let batch = driver.run_service(&svc_cfg).unwrap();
+        let reference = driver
+            .run_service_with(&svc_cfg, FleetDriver::simulate_chunk)
             .unwrap();
         assert_eq!(batch.canonical_text(), reference.canonical_text());
         assert_eq!(batch.digest(), reference.digest());
@@ -1859,7 +1668,7 @@ mod tests {
         };
         let driver = FleetDriver::new(cfg.clone()).unwrap();
         let batch = driver.run().unwrap();
-        let slack = (driver.rounds() - cfg.epochs as usize) as u32;
+        let slack = driver.slack();
         // With the grace covering the full backoff/delay slack, every
         // delayed frame lands before its window seals: nothing is late and
         // the service accepts exactly what the batch driver accepted.

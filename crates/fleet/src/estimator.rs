@@ -47,6 +47,18 @@ pub struct Estimate {
     pub bias_bound: f64,
 }
 
+impl Estimate {
+    /// A frequency estimate scaled by its responding population `n` into
+    /// a count estimate.
+    pub(crate) fn scaled_to_count(self) -> Estimate {
+        Estimate {
+            value: self.value * self.n as f64,
+            stderr: self.stderr * self.n as f64,
+            ..self
+        }
+    }
+}
+
 /// The collector-side mirror of one device's noising datapath: the exact
 /// noise PMF, the thresholding window, and precomputed tail sums.
 ///
@@ -367,11 +379,7 @@ impl NoiseModel {
     /// responding population `n` (the count of devices whose sensor value
     /// met the threshold). Exactly unbiased.
     pub fn rr_count(&self, t: &QueryTotals) -> Result<Option<Estimate>, LdpError> {
-        Ok(self.rr_frequency(t)?.map(|e| Estimate {
-            value: e.value * e.n as f64,
-            stderr: e.stderr * e.n as f64,
-            ..e
-        }))
+        Ok(self.rr_frequency(t)?.map(Estimate::scaled_to_count))
     }
 
     /// Debiased randomized-response frequency: the fraction of devices

@@ -22,10 +22,12 @@
 //!   frequency and count) built on the sampler's *exact* output PMF, each
 //!   returning an analytic standard error and, where proven, a
 //!   deterministic bias envelope;
-//! * [`driver`] — the simulated fleet: N full DP-Box devices (budget
-//!   ledgers, URNG health self-tests, fail-safe exclusion) streaming epochs
-//!   through a collector, with the per-device privacy ledgers folded into
-//!   one auditable fleet ledger;
+//! * [`driver`] — the simulated fleet: N DP-Box devices (lockstep
+//!   [`dp_box::DeviceArray`] lanes, URNG health self-tests, fail-safe
+//!   exclusion) streaming epochs through the [`service`], every fresh
+//!   ε-spend recorded under its `(device, epoch)` key into a per-window
+//!   ledger the rollup audits bitwise; the batch [`FleetDriver::run`] is a
+//!   one-window service run;
 //! * [`sweep`] — the accuracy sweep gating `|estimate − truth|` against
 //!   `3·SE + bias_bound` across population sizes;
 //! * [`chaos`] — seeded, deterministic lossy-transport fault injection
@@ -67,8 +69,8 @@ pub use collector::{
     INGEST_PATH_ENV,
 };
 pub use driver::{
-    sim_phase_ns, DeviceEngine, FleetConfig, FleetDriver, FleetError, FleetOutcome, ServiceOutcome,
-    DEVICE_ENGINE_ENV, RR_QUERY, VALUE_QUERY,
+    sim_phase_ns, FleetConfig, FleetDriver, FleetError, FleetOutcome, ServiceOutcome, RR_QUERY,
+    VALUE_QUERY,
 };
 pub use estimator::{Estimate, NoiseModel};
 pub use service::{
@@ -85,3 +87,17 @@ pub use wire::{
     decode_counter_totals, decode_stream, ColumnarBatch, DecodeCounterTotals, DecodedStream,
     Payload, Report, WireError, FRAME_LEN, MAGIC, VERSION, VERSION_LEGACY,
 };
+
+/// FNV-1a 64-bit offset basis: the initial state of every digest below.
+pub(crate) const FNV1A_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a 64-bit hash `h` (start from
+/// [`FNV1A_OFFSET`]). Every digest and the shard hash in this crate.
+#[inline]
+pub(crate) fn fnv1a(mut h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}

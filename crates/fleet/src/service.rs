@@ -3,7 +3,7 @@
 //! snapshot queries, and multi-epoch rollups.
 //!
 //! [`FleetService`] wraps a [`Collector`] with the machinery a
-//! long-running deployment needs and the batch driver does not:
+//! long-running deployment needs and a bare collector lacks:
 //!
 //! * **Bounded per-lane ingest queues.** Producers (device uplinks, one
 //!   lane per simulation chunk in the driver) stage wire bytes with

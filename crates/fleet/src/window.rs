@@ -42,6 +42,7 @@ use std::fmt;
 use ldp_core::{BudgetLedger, CompositionLedger};
 
 use crate::collector::{EpochSeal, IngestStats, QueryConfig, QueryTotals, SealStatus};
+use crate::{fnv1a, FNV1A_OFFSET};
 
 /// Lifecycle phase of one epoch window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,26 +211,18 @@ impl Window {
     }
 }
 
-/// FNV-1a 64-bit fold of `bytes` into `h`.
-fn fnv(h: &mut u64, bytes: impl IntoIterator<Item = u8>) {
-    for b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Canonical rendering of one query's exact accumulators (sketch included
 /// as an FNV digest over its bins).
 fn totals_text(t: &QueryTotals) -> String {
     let sketch = match &t.sketch {
         None => "none".to_string(),
-        Some(s) => {
-            let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-            for k in s.min_k()..=s.max_k() {
-                fnv(&mut h, s.count(k).to_le_bytes());
-            }
-            format!("{:016x}", h)
-        }
+        Some(s) => format!(
+            "{:016x}",
+            fnv1a(
+                FNV1A_OFFSET,
+                (s.min_k()..=s.max_k()).flat_map(|k| s.count(k).to_le_bytes())
+            )
+        ),
     };
     format!(
         "count={} sum={} sum2={} sum3={} sum4={} ones={} sketch={}",
@@ -269,10 +262,6 @@ impl SealedWindow {
     /// Canonical rendering of every schedule-independent field; float bits
     /// are rendered exactly via [`f64::to_bits`].
     pub fn canonical_text(&self) -> String {
-        let seal = match self.seal.status {
-            SealStatus::Full => "full".to_string(),
-            SealStatus::Degraded { coverage } => format!("degraded:{:016x}", coverage.to_bits()),
-        };
         let totals: Vec<String> = self.totals.iter().map(totals_text).collect();
         format!(
             "window={} epochs=[{},{}) seal={} expected={} accepted={}\n\
@@ -283,7 +272,7 @@ impl SealedWindow {
             self.index,
             self.epoch_lo,
             self.epoch_hi,
-            seal,
+            self.seal.status.canonical_text(),
             self.seal.expected,
             self.seal.accepted,
             totals.join(" | "),
@@ -302,9 +291,7 @@ impl SealedWindow {
 
     /// FNV-1a 64-bit digest of [`SealedWindow::canonical_text`].
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        fnv(&mut h, self.canonical_text().bytes());
-        h
+        fnv1a(FNV1A_OFFSET, self.canonical_text().bytes())
     }
 }
 
@@ -427,7 +414,7 @@ impl Rollup {
         let mut accepted = 0u64;
         let mut epoch_lo = u32::MAX;
         let mut epoch_hi = 0u32;
-        let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut digest = FNV1A_OFFSET;
         let mut audit_ok = true;
         for w in self.windows.values() {
             match totals.as_mut() {
@@ -448,12 +435,12 @@ impl Rollup {
             accepted += w.seal.accepted;
             epoch_lo = epoch_lo.min(w.epoch_lo);
             epoch_hi = epoch_hi.max(w.epoch_hi);
-            fnv(&mut digest, w.index.to_le_bytes());
-            fnv(&mut digest, w.digest().to_le_bytes());
+            digest = fnv1a(digest, w.index.to_le_bytes());
+            digest = fnv1a(digest, w.digest().to_le_bytes());
         }
         audit_ok &= ledger.audit(&accountant).is_ok();
-        fnv(&mut digest, ledger.total().to_bits().to_le_bytes());
-        fnv(&mut digest, (ledger.len() as u64).to_le_bytes());
+        digest = fnv1a(digest, ledger.total().to_bits().to_le_bytes());
+        digest = fnv1a(digest, (ledger.len() as u64).to_le_bytes());
         RollupOutcome {
             windows: self.windows.len(),
             epoch_lo,

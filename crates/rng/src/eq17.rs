@@ -8,8 +8,8 @@
 //!
 //! The DP-Box folds one `Bu`-bit uniform into a signed Laplace sample: the
 //! top bit acts as the sign and the remaining bits as the magnitude
-//! uniform. This module implements that fold literally and proves (by
-//! exhaustive enumeration, in tests) that it induces **exactly** the same
+//! uniform. This test-only module implements that fold literally and
+//! proves by exhaustive enumeration that it induces **exactly** the same
 //! output distribution as the sign-bit + `(Bu−1)`-bit magnitude split used
 //! by [`crate::FxpLaplace`] — the equivalence the device model relies on.
 
@@ -22,19 +22,6 @@ use crate::source::RandomBits;
 /// Configured by the same parameters as [`FxpLaplaceConfig`], with `Bu`
 /// being the *full* uniform width (one bit of which the fold consumes as
 /// the sign).
-///
-/// # Examples
-///
-/// ```
-/// use ulp_rng::{Eq17Laplace, Taus88};
-///
-/// let s = Eq17Laplace::new(17, 12, 10.0 / 32.0, 20.0)?;
-/// let mut rng = Taus88::from_seed(1);
-/// let k = s.sample_index(&mut rng);
-/// // Same support as the equivalent sign+magnitude sampler.
-/// assert!(k.abs() <= s.equivalent_config().natural_max_k());
-/// # Ok::<(), ulp_rng::RngError>(())
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Eq17Laplace {
     bu: u8,

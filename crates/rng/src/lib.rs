@@ -51,8 +51,8 @@
 mod alias;
 mod cache;
 mod cordic;
-mod cordic_exp;
 mod discrete;
+#[cfg(test)]
 mod eq17;
 mod error;
 mod fault;
@@ -73,9 +73,7 @@ pub use cache::{
     cached_enumerated_pmf, cached_pmf, pmf_cache_len,
 };
 pub use cordic::CordicLn;
-pub use cordic_exp::CordicExp;
 pub use discrete::DiscreteLaplace;
-pub use eq17::Eq17Laplace;
 pub use error::RngError;
 pub use fault::{BiasedBits, CorrelatedBits, OnsetBits, StuckAtBits};
 pub use fxp::{FxpLaplace, FxpLaplaceConfig, LogPath};

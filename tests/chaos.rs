@@ -138,9 +138,9 @@ fn chaos_cfg() -> FleetConfig {
 
 /// Child half of the chaos determinism matrix: prints the digest (and
 /// ledger digest) of a fixed fault-injected fleet run under the parent's
-/// `ULP_PAR_THREADS` / `ULP_FLEET_INGEST_PATH` / `ULP_DEVICE_ENGINE`.
+/// `ULP_PAR_THREADS` / `ULP_FLEET_INGEST_PATH`.
 #[test]
-#[ignore = "helper re-executed by chaos_digest_identical_across_threads_paths_and_engines"]
+#[ignore = "helper re-executed by chaos_digest_identical_across_threads_and_paths"]
 fn chaos_thread_digest_child() {
     let out = FleetDriver::new(chaos_cfg()).unwrap().run().unwrap();
     println!(
@@ -152,15 +152,14 @@ fn chaos_thread_digest_child() {
 
 /// The fault pattern is a pure function of `(chaos seed, device, attempt)`,
 /// so the full outcome — totals, retries, quarantine, seal — must be
-/// bit-identical at any worker-thread count; the columnar ingest path must
-/// match the scalar reference path; and the batch device engine must match
-/// the reference engine — all even under 10% drop / 10% duplicate / 5%
-/// corrupt transport. The ledger digest rides along, pinning per-device
-/// ε-spend bit-for-bit across every cell.
+/// bit-identical at any worker-thread count, and the columnar ingest path
+/// must match the scalar reference path — both even under 10% drop / 10%
+/// duplicate / 5% corrupt transport. The ledger digest rides along,
+/// pinning per-device ε-spend bit-for-bit across every cell.
 #[test]
-fn chaos_digest_identical_across_threads_paths_and_engines() {
+fn chaos_digest_identical_across_threads_and_paths() {
     let exe = std::env::current_exe().expect("test binary path");
-    let digest_at = |threads: &str, path: &str, engine: &str| -> String {
+    let digest_at = |threads: &str, path: &str| -> String {
         let output = std::process::Command::new(&exe)
             .args([
                 "chaos_thread_digest_child",
@@ -170,12 +169,11 @@ fn chaos_digest_identical_across_threads_paths_and_engines() {
             ])
             .env("ULP_PAR_THREADS", threads)
             .env("ULP_FLEET_INGEST_PATH", path)
-            .env("ULP_DEVICE_ENGINE", engine)
             .output()
             .expect("re-exec test binary");
         assert!(
             output.status.success(),
-            "child run failed at {threads} threads, {path} path, {engine} engine: {}",
+            "child run failed at {threads} threads, {path} path: {}",
             String::from_utf8_lossy(&output.stderr)
         );
         let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
@@ -187,20 +185,12 @@ fn chaos_digest_identical_across_threads_paths_and_engines() {
             .take_while(|c| c.is_ascii_hexdigit() || *c == ':')
             .collect()
     };
-    let baseline = digest_at("1", "reference", "reference");
-    for (threads, path, engine) in [
-        ("1", "columnar", "reference"),
-        ("4", "columnar", "reference"),
-        ("4", "reference", "reference"),
-        ("1", "columnar", "batch"),
-        ("4", "columnar", "batch"),
-        ("4", "reference", "batch"),
-    ] {
+    let baseline = digest_at("1", "reference");
+    for (threads, path) in [("1", "columnar"), ("4", "columnar"), ("4", "reference")] {
         assert_eq!(
-            digest_at(threads, path, engine),
+            digest_at(threads, path),
             baseline,
-            "chaotic fleet outcome must be bit-identical at {threads} threads, \
-             {path} path, {engine} engine"
+            "chaotic fleet outcome must be bit-identical at {threads} threads, {path} path"
         );
     }
 }

@@ -83,9 +83,9 @@ fn digest_cfg() -> FleetConfig {
 
 /// Child half of the determinism matrix: prints the digest (and ledger
 /// digest) of a fixed fleet run under whatever `ULP_PAR_THREADS` /
-/// `ULP_FLEET_INGEST_PATH` / `ULP_DEVICE_ENGINE` the parent set.
+/// `ULP_FLEET_INGEST_PATH` the parent set.
 #[test]
-#[ignore = "helper re-executed by digest_identical_across_threads_paths_and_engines"]
+#[ignore = "helper re-executed by digest_identical_across_threads_and_paths"]
 fn thread_digest_child() {
     let out = FleetDriver::new(digest_cfg()).unwrap().run().unwrap();
     println!(
@@ -97,24 +97,22 @@ fn thread_digest_child() {
 
 /// `ulp_par::threads()` latches once per process, so thread-count variation
 /// needs fresh processes: re-exec this test binary filtered to the child
-/// helper across a (threads × ingest path × device engine) matrix. Every
-/// cell — 1 or 4 workers, columnar or scalar-reference ingest, batch or
-/// reference device engine — must produce the same outcome digest *and*
-/// the same fleet ledger digest bit for bit.
+/// helper across a (threads × ingest path) matrix. Every cell — 1 or 4
+/// workers, columnar or scalar-reference ingest — must produce the same
+/// outcome digest *and* the same fleet ledger digest bit for bit.
 #[test]
-fn digest_identical_across_threads_paths_and_engines() {
+fn digest_identical_across_threads_and_paths() {
     let exe = std::env::current_exe().expect("test binary path");
-    let digest_at = |threads: &str, path: &str, engine: &str| -> String {
+    let digest_at = |threads: &str, path: &str| -> String {
         let output = std::process::Command::new(&exe)
             .args(["thread_digest_child", "--exact", "--ignored", "--nocapture"])
             .env("ULP_PAR_THREADS", threads)
             .env("ULP_FLEET_INGEST_PATH", path)
-            .env("ULP_DEVICE_ENGINE", engine)
             .output()
             .expect("re-exec test binary");
         assert!(
             output.status.success(),
-            "child run failed at {threads} threads, {path} path, {engine} engine: {}",
+            "child run failed at {threads} threads, {path} path: {}",
             String::from_utf8_lossy(&output.stderr)
         );
         // libtest may emit the digest on the same line as its own "test …"
@@ -128,21 +126,12 @@ fn digest_identical_across_threads_paths_and_engines() {
             .take_while(|c| c.is_ascii_hexdigit() || *c == ':')
             .collect()
     };
-    let baseline = digest_at("1", "reference", "reference");
-    for (threads, path, engine) in [
-        ("1", "columnar", "reference"),
-        ("4", "columnar", "reference"),
-        ("4", "reference", "reference"),
-        ("1", "columnar", "batch"),
-        ("4", "columnar", "batch"),
-        ("1", "reference", "batch"),
-        ("4", "reference", "batch"),
-    ] {
+    let baseline = digest_at("1", "reference");
+    for (threads, path) in [("1", "columnar"), ("4", "columnar"), ("4", "reference")] {
         assert_eq!(
-            digest_at(threads, path, engine),
+            digest_at(threads, path),
             baseline,
-            "fleet outcome must be bit-identical at {threads} threads, \
-             {path} ingest path, {engine} device engine"
+            "fleet outcome must be bit-identical at {threads} threads, {path} ingest path"
         );
     }
 }

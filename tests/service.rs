@@ -1,6 +1,5 @@
 //! Streaming-service determinism: rollup order-invariance (property) and
-//! the cross-process service-digest matrix across worker-thread counts
-//! and device engines.
+//! the cross-process service-digest matrix across worker-thread counts.
 
 use proptest::prelude::*;
 use ulp_ldp::fleet::{
@@ -136,10 +135,9 @@ fn service_cfg() -> (FleetConfig, ServiceConfig) {
 
 /// Child half of the service determinism matrix: prints the service
 /// outcome digest, rollup digest, and fleet ledger digest of a fixed
-/// multi-window run under whatever `ULP_PAR_THREADS` /
-/// `ULP_DEVICE_ENGINE` the parent set.
+/// multi-window run under whatever `ULP_PAR_THREADS` the parent set.
 #[test]
-#[ignore = "helper re-executed by service_digest_identical_across_threads_and_engines"]
+#[ignore = "helper re-executed by service_digest_identical_across_threads"]
 fn service_digest_child() {
     let (fleet, svc) = service_cfg();
     let out = FleetDriver::new(fleet).unwrap().run_service(&svc).unwrap();
@@ -152,14 +150,13 @@ fn service_digest_child() {
 }
 
 /// `ulp_par::threads()` latches once per process, so the service digest
-/// matrix re-execs this test binary filtered to the child helper. Every
-/// cell — 1 or 4 workers, batch or reference device engine — must agree
-/// on the service outcome digest, the rollup digest, and the ε-ledger
-/// digest bit for bit.
+/// matrix re-execs this test binary filtered to the child helper. Both
+/// cells — 1 and 4 workers — must agree on the service outcome digest,
+/// the rollup digest, and the ε-ledger digest bit for bit.
 #[test]
-fn service_digest_identical_across_threads_and_engines() {
+fn service_digest_identical_across_threads() {
     let exe = std::env::current_exe().expect("test binary path");
-    let digest_at = |threads: &str, engine: &str| -> String {
+    let digest_at = |threads: &str| -> String {
         let output = std::process::Command::new(&exe)
             .args([
                 "service_digest_child",
@@ -168,12 +165,11 @@ fn service_digest_identical_across_threads_and_engines() {
                 "--nocapture",
             ])
             .env("ULP_PAR_THREADS", threads)
-            .env("ULP_DEVICE_ENGINE", engine)
             .output()
             .expect("re-exec test binary");
         assert!(
             output.status.success(),
-            "child run failed at {threads} threads, {engine} engine: {}",
+            "child run failed at {threads} threads: {}",
             String::from_utf8_lossy(&output.stderr)
         );
         let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
@@ -185,14 +181,11 @@ fn service_digest_identical_across_threads_and_engines() {
             .take_while(|c| c.is_ascii_hexdigit() || *c == ':')
             .collect()
     };
-    let baseline = digest_at("1", "reference");
-    for (threads, engine) in [("4", "reference"), ("1", "batch"), ("4", "batch")] {
-        assert_eq!(
-            digest_at(threads, engine),
-            baseline,
-            "service outcome must be bit-identical at {threads} threads, {engine} engine"
-        );
-    }
+    assert_eq!(
+        digest_at("4"),
+        digest_at("1"),
+        "service outcome must be bit-identical at 1 and 4 threads"
+    );
 }
 
 /// The service rollup of a windowed run reproduces the batch driver's
